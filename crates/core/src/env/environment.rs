@@ -709,11 +709,21 @@ impl CscwEnvironment {
         let result = self.hub.exchange(artifact, to)?;
         // Locate the destination application through the trading
         // function (§6.1): the environment imports under its own
-        // engineering identity.
-        let offers = self
-            .platform
-            .trader()
-            .import(&odp::ImportRequest::any(APP_SERVICE_TYPE).with_importer(ENV_PRINCIPAL))?;
+        // engineering identity, constrained to the destination's offer.
+        let request = odp::ImportRequest::any(APP_SERVICE_TYPE)
+            .with_constraint(odp::Constraint::Eq(
+                "app".to_owned(),
+                odp::Value::from(to.as_str()),
+            ))
+            .with_importer(ENV_PRINCIPAL);
+        let offers = match self.platform.trader().import(&request) {
+            Err(odp::OdpError::NoMatchingOffer { .. }) => {
+                return Err(MoccaError::UnknownApplication(to.to_string()))
+            }
+            other => other?,
+        };
+        // A degraded (cached) answer could be stale: check the offer
+        // really names the destination.
         let located = offers
             .iter()
             .any(|o| o.property("app").and_then(odp::Value::as_text) == Some(to.as_str()));

@@ -12,8 +12,9 @@
 //! When a breaker opens the platform *degrades* instead of failing
 //! blindly:
 //!
-//! * trader imports fall back to the last-known offers for the service
-//!   type, if any were ever seen;
+//! * trader imports fall back to the last-known offers for the same
+//!   request (service type, constraint, preference, limit and
+//!   importer), if it was ever answered;
 //! * directory reads and searches are served from a stale-read cache,
 //!   flagged by the `resilience.directory.stale_read` counter and a
 //!   `resilience.stale_read` event;
@@ -284,8 +285,10 @@ fn policed_attempts<T, E: LayerError>(
 pub struct ResilientPlatform {
     inner: Box<dyn Platform>,
     ctl: Resilience,
-    /// Last successful offers per service type — the degraded answer
-    /// when the trader breaker is open.
+    /// Last successful offers per import request, keyed by the whole
+    /// request (see [`offer_cache_key`]) — the degraded answer when the
+    /// trader breaker is open. A stale answer only ever answers the
+    /// question it was given for.
     offer_cache: BTreeMap<String, Vec<ServiceOffer>>,
     /// Last successful read/search results, keyed by the operation —
     /// the (stale) degraded answer when the directory breaker is open.
@@ -466,7 +469,7 @@ impl TraderPort for ResilientPlatform {
         ) {
             CallOutcome::Ok(offers) => {
                 self.offer_cache
-                    .insert(request.service_type.clone(), offers.clone());
+                    .insert(offer_cache_key(request), offers.clone());
                 Ok(offers)
             }
             CallOutcome::Rejected => self.degraded_import(request, None),
@@ -486,15 +489,22 @@ impl TraderPort for ResilientPlatform {
     }
 }
 
+/// The offer-cache key: every field of the request (service type,
+/// constraint, preference, `max_matches` and importer), so two requests
+/// share a cached answer only when they ask the same question.
+fn offer_cache_key(request: &ImportRequest) -> String {
+    format!("{request:?}")
+}
+
 impl ResilientPlatform {
-    /// Serves the last-known offers for the requested service type, or
-    /// surfaces the failure when nothing was ever cached.
+    /// Serves the last-known offers for the same request, or surfaces
+    /// the failure when that request was never answered.
     fn degraded_import(
         &mut self,
         request: &ImportRequest,
         cause: Option<OdpError>,
     ) -> Result<Vec<ServiceOffer>, OdpError> {
-        if let Some(offers) = self.offer_cache.get(&request.service_type) {
+        if let Some(offers) = self.offer_cache.get(&offer_cache_key(request)) {
             self.ctl.telemetry.incr(Layer::Env, Port::Trader.degraded());
             self.ctl.telemetry.emit(
                 self.now_micros(),
@@ -789,6 +799,57 @@ mod tests {
             "open breaker short-circuits the port call"
         );
         assert!(t.counter(Layer::Env, "resilience.trader.degraded") >= 1);
+    }
+
+    #[test]
+    fn degraded_imports_only_answer_the_request_that_was_cached() {
+        let mut p = ResilientPlatform::new(Box::new(Flaky::new(0)))
+            .with_policy(RetryPolicy::none())
+            .with_breakers(1, 1_000_000);
+        let iface = InterfaceType::new("app");
+        p.trader().register_service_type(iface.clone());
+        for name in ["a", "b"] {
+            p.trader()
+                .export(
+                    "app",
+                    &iface,
+                    InterfaceRef {
+                        object: name.into(),
+                        node: simnet::NodeId::from_raw(0),
+                        interface: "app".into(),
+                    },
+                    vec![("app".to_owned(), Value::from(name))],
+                )
+                .unwrap();
+        }
+        let for_app = |name: &str| {
+            ImportRequest::any("app")
+                .with_constraint(odp::Constraint::Eq("app".into(), Value::from(name)))
+        };
+        let live = p.trader().import(&for_app("a")).unwrap();
+        assert_eq!(live.len(), 1);
+
+        // Break the inner platform; one transient failure opens the
+        // breaker.
+        p.inner = Box::new(Flaky::new(u32::MAX));
+        let t = p.telemetry().clone();
+        let err = p.trader().import(&for_app("b")).unwrap_err();
+        assert_eq!(err.class(), ErrorClass::Transient);
+        assert_eq!(p.breaker_states().0, BreakerState::Open);
+        assert_eq!(
+            t.counter(Layer::Env, "resilience.trader.degraded"),
+            0,
+            "app a's offer must not answer a request for app b"
+        );
+
+        // The cached request degrades to its own answer, flagged.
+        let stale = p.trader().import(&for_app("a")).unwrap();
+        assert_eq!(stale, live);
+        assert_eq!(t.counter(Layer::Env, "resilience.trader.degraded"), 1);
+        assert!(t
+            .events()
+            .iter()
+            .any(|e| e.name == "resilience.stale_offers"));
     }
 
     #[test]

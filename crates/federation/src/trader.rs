@@ -169,15 +169,18 @@ impl FederatedTrader {
             }
             self.cache.remove(app);
         }
-        // Federated walk: breadth-first over up links, hop-budgeted,
-        // loop-suppressed.
+        // Federated walk: breadth-first over up links, loop-suppressed,
+        // hop-budgeted per BFS depth. Every domain at depth `d` is `d`
+        // hops from `from`, so a level costs one hop however many links
+        // fan out of it.
         let mut scope = QueryScope::with_hop_limit(self.hop_limit);
         scope
             .enter(from)
             .map_err(|_| FederationError::QueryLoop(from.to_owned()))?;
         let mut degraded = false;
-        let mut queue = VecDeque::from([from.to_owned()]);
-        while let Some(here) = queue.pop_front() {
+        let mut hops_spent: u8 = 0;
+        let mut queue = VecDeque::from([(from.to_owned(), 0u8)]);
+        while let Some((here, depth)) = queue.pop_front() {
             if advertised.get(&here).is_some_and(|apps| apps.contains(app)) {
                 self.cache.insert(
                     app.to_owned(),
@@ -192,6 +195,12 @@ impl FederatedTrader {
                     degraded,
                 });
             }
+            // The queue is in depth order, so the first domain expanded
+            // at a new depth pays that level's hop.
+            if depth == hops_spent && scope.descend() {
+                hops_spent += 1;
+            }
+            let within_budget = depth < hops_spent;
             for link in self.links.iter().filter(|l| l.from == here) {
                 if !link.is_up() {
                     degraded = true;
@@ -200,7 +209,7 @@ impl FederatedTrader {
                 if scope.visited().contains(&link.to) {
                     continue; // loop suppression: each domain once
                 }
-                if !scope.descend() {
+                if !within_budget {
                     // Budget exhausted: stop expanding, finish scanning
                     // what is already queued.
                     continue;
@@ -208,7 +217,7 @@ impl FederatedTrader {
                 scope
                     .enter(&link.to)
                     .map_err(|_| FederationError::QueryLoop(link.to.clone()))?;
-                queue.push_back(link.to.clone());
+                queue.push_back((link.to.clone(), depth + 1));
             }
         }
         if degraded {
@@ -311,6 +320,30 @@ mod tests {
             .resolve("a", "near", &advertised, Timestamp::ZERO)
             .unwrap();
         assert_eq!(r.domain, "c");
+    }
+
+    #[test]
+    fn hop_budget_is_spent_per_depth_not_per_link() {
+        // Six direct neighbours, one hop each: the default budget of 4
+        // must not run out before the last of them is consulted.
+        let mut t = FederatedTrader::new();
+        let neighbours = ["b", "c", "d", "e", "f", "g"];
+        for n in neighbours {
+            t.link("a", n);
+        }
+        assert!(neighbours.len() > usize::from(t.hop_limit()));
+        let mut advertised = ads(&[("a", &[])]);
+        for n in neighbours {
+            advertised.insert(n.to_owned(), BTreeSet::new());
+        }
+        advertised.insert("g".to_owned(), BTreeSet::from(["last".to_owned()]));
+        let r = t
+            .resolve("a", "last", &advertised, Timestamp::ZERO)
+            .unwrap();
+        assert_eq!(
+            (r.domain.as_str(), r.source),
+            ("g", ResolutionSource::Federated)
+        );
     }
 
     #[test]

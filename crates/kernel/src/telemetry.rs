@@ -436,13 +436,22 @@ impl Telemetry {
 
     /// Closes a span. Any spans opened above it that were never closed
     /// are unwound from the ambient stack (their records stay open).
+    ///
+    /// Span ids are minted in `open_span` while the stream lock is held
+    /// and records are only ever appended, so every stream's stored
+    /// records are in ascending id order. The record is found by binary
+    /// search: closing costs `O(log n)` in the store size, and a span
+    /// that was dropped (or a context from another stream) is a miss
+    /// that changes nothing.
     pub fn span_end(&self, ctx: SpanContext, at_micros: u64) {
         let mut stream = self.stream();
         if let Some(pos) = stream.stack.iter().rposition(|c| *c == ctx) {
             stream.stack.truncate(pos);
         }
-        if let Some(record) = stream.spans.iter_mut().rev().find(|s| s.id == ctx.span) {
-            record.end_micros = Some(at_micros);
+        if let Ok(pos) = stream.spans.binary_search_by_key(&ctx.span, |s| s.id) {
+            if let Some(record) = stream.spans.get_mut(pos) {
+                record.end_micros = Some(at_micros);
+            }
         }
     }
 
@@ -725,6 +734,55 @@ mod tests {
         assert_eq!(t.spans().len(), 1);
         assert_eq!(t.dropped_spans(), 1);
         assert_eq!(t.snapshot().dropped_spans, 1);
+    }
+
+    /// The records whose end time is set, by id.
+    fn closed(t: &Telemetry) -> Vec<SpanId> {
+        t.spans()
+            .iter()
+            .filter(|s| s.end_micros.is_some())
+            .map(|s| s.id)
+            .collect()
+    }
+
+    #[test]
+    fn span_end_in_a_full_store_closes_exactly_the_named_record() {
+        let t = Telemetry::new();
+        let other = Telemetry::new();
+        let first = t.span_begin(Layer::App, "app.first", 0);
+        // Minted between two of `t`'s ids, on another stream.
+        let foreign = other.span_begin(Layer::App, "app.foreign", 0);
+        let mut opened = vec![first];
+        while opened.len() < DEFAULT_SPAN_CAPACITY {
+            opened.push(t.span_begin(Layer::Env, "env.fill", 1));
+        }
+        let stored = t.spans();
+        assert_eq!(stored.len(), DEFAULT_SPAN_CAPACITY);
+        assert!(
+            stored.windows(2).all(|w| w[0].id < w[1].id),
+            "stored span ids ascend"
+        );
+
+        let target = opened[DEFAULT_SPAN_CAPACITY / 3];
+        t.span_end(target, 7);
+        assert_eq!(closed(&t), vec![target.span]);
+        let before = t.spans();
+
+        // A span opened after the store filled is dropped; closing it
+        // changes no record.
+        let dropped = t.span_begin(Layer::Env, "env.dropped", 8);
+        assert_eq!(t.dropped_spans(), 1);
+        t.span_end(dropped, 9);
+        assert_eq!(t.spans(), before);
+
+        // Neither does a context decoded from another stream's ids.
+        let decoded = SpanContext {
+            trace: foreign.trace,
+            span: SpanId::from_u64(foreign.span.as_u64()),
+        };
+        t.span_end(decoded, 10);
+        assert_eq!(t.spans(), before);
+        other.span_end(foreign, 1);
     }
 
     #[test]

@@ -223,7 +223,13 @@ pub trait TradingPolicy {
 pub struct Trader {
     name: String,
     service_types: BTreeMap<String, InterfaceType>,
+    /// Active offers in ascending id order (ids are minted in export
+    /// order and only ever removed).
     offers: Vec<ServiceOffer>,
+    /// Property name → text value → ids of the offers carrying it,
+    /// ascending. `Text` and `Name` values share a key; imports still
+    /// apply the full constraint to every candidate.
+    text_index: BTreeMap<String, BTreeMap<String, Vec<OfferId>>>,
     policies: Vec<Box<dyn TradingPolicy>>,
     next_offer: u64,
 }
@@ -252,6 +258,7 @@ impl Trader {
             name: name.into(),
             service_types: BTreeMap::new(),
             offers: Vec::new(),
+            text_index: BTreeMap::new(),
             policies: Vec::new(),
             next_offer: 0,
         }
@@ -331,12 +338,26 @@ impl Trader {
         offering_type.conforms_to(required)?;
         let id = OfferId(self.next_offer);
         self.next_offer += 1;
-        self.offers.push(ServiceOffer {
+        let offer = ServiceOffer {
             id,
             service_type: service_type.to_owned(),
             interface,
             properties: properties.into_iter().collect(),
-        });
+        };
+        for (name, value) in &offer.properties {
+            let Some(text) = value.as_text() else {
+                continue;
+            };
+            // Clone the property name only when it is first indexed.
+            if !self.text_index.contains_key(name) {
+                self.text_index.insert(name.clone(), BTreeMap::new());
+            }
+            if let Some(by_value) = self.text_index.get_mut(name) {
+                // Ids only grow, so a push keeps every list ascending.
+                by_value.entry(text.to_owned()).or_default().push(id);
+            }
+        }
+        self.offers.push(offer);
         Ok(id)
     }
 
@@ -346,16 +367,61 @@ impl Trader {
     ///
     /// [`OdpError::NoSuchObject`] when the offer id is unknown.
     pub fn withdraw(&mut self, id: OfferId) -> Result<(), OdpError> {
-        let before = self.offers.len();
-        self.offers.retain(|o| o.id != id);
-        if self.offers.len() == before {
-            return Err(OdpError::NoSuchObject(id.to_string()));
+        let pos = self
+            .offers
+            .binary_search_by_key(&id, |o| o.id)
+            .map_err(|_| OdpError::NoSuchObject(id.to_string()))?;
+        let offer = self.offers.remove(pos);
+        for (name, value) in &offer.properties {
+            let Some(text) = value.as_text() else {
+                continue;
+            };
+            let Some(by_value) = self.text_index.get_mut(name) else {
+                continue;
+            };
+            if let Some(ids) = by_value.get_mut(text) {
+                if let Ok(at) = ids.binary_search(&id) {
+                    ids.remove(at);
+                }
+                if ids.is_empty() {
+                    by_value.remove(text);
+                }
+            }
+            if by_value.is_empty() {
+                self.text_index.remove(name);
+            }
         }
         Ok(())
     }
 
+    /// The active offer with `id`, if any.
+    fn offer(&self, id: OfferId) -> Option<&ServiceOffer> {
+        let pos = self.offers.binary_search_by_key(&id, |o| o.id).ok()?;
+        self.offers.get(pos)
+    }
+
+    /// The ids the property index can narrow `constraint` to, ascending:
+    /// `Some` only for a top-level `Eq` on a text value.
+    fn indexed_candidates(&self, constraint: &Constraint) -> Option<&[OfferId]> {
+        let Constraint::Eq(name, value) = constraint else {
+            return None;
+        };
+        let text = value.as_text()?;
+        Some(
+            self.text_index
+                .get(name)
+                .and_then(|by_value| by_value.get(text))
+                .map_or(&[], Vec::as_slice),
+        )
+    }
+
     /// Imports: returns matching offers, policy-filtered, preference-
     /// ordered, truncated to `max_matches`.
+    ///
+    /// A top-level [`Constraint::Eq`] on a text value takes its
+    /// candidates from the property index instead of scanning every
+    /// offer. Each candidate still passes the same type, constraint and
+    /// policy checks, so the result is identical to the scan.
     ///
     /// # Errors
     ///
@@ -366,13 +432,19 @@ impl Trader {
         if !self.service_types.contains_key(&request.service_type) {
             return Err(OdpError::UnknownServiceType(request.service_type.clone()));
         }
-        let mut matches: Vec<&ServiceOffer> = self
-            .offers
-            .iter()
-            .filter(|o| self.type_matches(&o.service_type, &request.service_type))
-            .filter(|o| request.constraint.matches(o))
-            .filter(|o| self.policies.iter().all(|p| p.allows(o, &request.importer)))
-            .collect();
+        let keep = |o: &&ServiceOffer| {
+            self.type_matches(&o.service_type, &request.service_type)
+                && request.constraint.matches(o)
+                && self.policies.iter().all(|p| p.allows(o, &request.importer))
+        };
+        let mut matches: Vec<&ServiceOffer> = match self.indexed_candidates(&request.constraint) {
+            Some(ids) => ids
+                .iter()
+                .filter_map(|&id| self.offer(id))
+                .filter(keep)
+                .collect(),
+            None => self.offers.iter().filter(keep).collect(),
+        };
         if matches.is_empty() {
             return Err(OdpError::NoMatchingOffer {
                 service_type: request.service_type.clone(),

@@ -66,8 +66,27 @@ proptest! {
     }
 }
 
+/// The `owner` text property of offer `i`: repeating values, with a
+/// `Name` variant every fourth offer (it shares its `Text` twin's index
+/// key but must not match it).
+fn owner(i: usize) -> Value {
+    let who = ["ann", "bob", "cyd"][i % 3];
+    if i % 4 == 3 {
+        Value::Name(who.to_owned())
+    } else {
+        Value::from(who)
+    }
+}
+
+/// The offers a trader should hold: ids with their properties, in
+/// export (id) order.
+type Model = Vec<(OfferId, Vec<(&'static str, Value)>)>;
+
 /// Builds a trader with `n` offers whose `cost` properties are 0..n.
-fn trader_with_offers(n: usize) -> Trader {
+/// After exporting offer `i`, withdraws offer `i / 2` when
+/// `withdrawals[i]` is set (a second withdrawal must fail). Returns the
+/// trader and the model of its remaining offers.
+fn trader_with_offers(n: usize, withdrawals: &[bool]) -> (Trader, Model) {
     let iface = InterfaceType::new("svc").with_operation(OperationSig::new(
         "use",
         [ValueKind::Text],
@@ -75,24 +94,62 @@ fn trader_with_offers(n: usize) -> Trader {
     ));
     let mut t = Trader::new("t");
     t.register_service_type(iface.clone());
+    let mut exported = Vec::new();
+    let mut model: Model = Vec::new();
     for i in 0..n {
         let r = InterfaceRef {
             object: format!("o{i}").as_str().into(),
             node: NodeId::from_raw(i as u32),
             interface: "svc".into(),
         };
-        t.export(
-            "svc",
-            &iface,
-            r,
-            [
-                ("cost", Value::Int(i as i64)),
-                ("even", Value::Bool(i % 2 == 0)),
-            ],
-        )
-        .unwrap();
+        let props = vec![
+            ("cost", Value::Int(i as i64)),
+            ("even", Value::Bool(i % 2 == 0)),
+            ("owner", owner(i)),
+        ];
+        let id = t.export("svc", &iface, r, props.clone()).unwrap();
+        exported.push(id);
+        model.push((id, props));
+        if withdrawals.get(i) == Some(&true) {
+            let victim = exported[i / 2];
+            match model.iter().position(|(id, _)| *id == victim) {
+                Some(pos) => {
+                    t.withdraw(victim).unwrap();
+                    model.remove(pos);
+                }
+                None => assert!(t.withdraw(victim).is_err(), "double withdraw"),
+            }
+        }
     }
-    t
+    (t, model)
+}
+
+/// An independent reading of a constraint over a property list.
+fn model_matches(c: &Constraint, props: &[(&str, Value)]) -> bool {
+    let get = |name: &str| props.iter().find(|(k, _)| *k == name).map(|(_, v)| v);
+    match c {
+        Constraint::True => true,
+        Constraint::Has(p) => get(p).is_some(),
+        Constraint::Eq(p, v) => get(p) == Some(v),
+        Constraint::Ge(p, bound) => matches!(get(p), Some(Value::Int(i)) if i >= bound),
+        Constraint::Le(p, bound) => matches!(get(p), Some(Value::Int(i)) if i <= bound),
+        Constraint::All(cs) => cs.iter().all(|c| model_matches(c, props)),
+        Constraint::Any(cs) => cs.iter().any(|c| model_matches(c, props)),
+        Constraint::Not(c) => !model_matches(c, props),
+    }
+}
+
+/// Every text equality on `owner`, which the trader's index answers
+/// when it is the whole constraint: "zed" is never exported, and each
+/// `Name` must not match its `Text` twin.
+fn owner_eqs() -> Vec<Constraint> {
+    let mut eqs = Vec::new();
+    for who in ["ann", "bob", "cyd", "zed"] {
+        for value in [Value::from(who), Value::Name(who.to_owned())] {
+            eqs.push(Constraint::Eq("owner".into(), value));
+        }
+    }
+    eqs
 }
 
 fn arb_constraint() -> impl Strategy<Value = Constraint> {
@@ -103,6 +160,9 @@ fn arb_constraint() -> impl Strategy<Value = Constraint> {
         any::<bool>().prop_map(|b| Constraint::Eq("even".into(), Value::Bool(b))),
         Just(Constraint::Has("cost".into())),
         Just(Constraint::Has("missing".into())),
+        (0..owner_eqs().len()).prop_map(|i| owner_eqs().swap_remove(i)),
+        Just(Constraint::Eq("missing".into(), Value::from("ann"))),
+        Just(Constraint::Eq("owner".into(), Value::Int(0))),
     ];
     leaf.prop_recursive(3, 16, 3, |inner| {
         prop_oneof![
@@ -117,35 +177,45 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Import soundness: every returned offer satisfies the constraint;
-    /// completeness: offers satisfying it are returned (no limit set).
+    /// completeness and order: the returned ids are exactly the
+    /// remaining offers that satisfy it, ascending (no preference, no
+    /// limit) — whether the trader scanned or used its property index.
     #[test]
-    fn import_sound_and_complete(n in 1usize..20, c in arb_constraint()) {
-        let t = trader_with_offers(n);
-        let req = ImportRequest::any("svc").with_constraint(c.clone());
-        match t.import(&req) {
-            Ok(offers) => {
-                for o in &offers {
-                    prop_assert!(c.matches(o), "unsound: returned non-matching offer");
+    fn import_sound_and_complete(
+        n in 1usize..20,
+        withdrawals in prop::collection::vec(any::<bool>(), 0..20),
+        c in arb_constraint(),
+    ) {
+        let (t, model) = trader_with_offers(n, &withdrawals);
+        prop_assert_eq!(t.offer_count(), model.len());
+        // `c` mostly scans; each owner equality takes the index path.
+        for c in std::iter::once(c).chain(owner_eqs()) {
+            let expected: Vec<OfferId> = model
+                .iter()
+                .filter(|(_, props)| model_matches(&c, props))
+                .map(|(id, _)| *id)
+                .collect();
+            let req = ImportRequest::any("svc").with_constraint(c.clone());
+            match t.import(&req) {
+                Ok(offers) => {
+                    for o in &offers {
+                        prop_assert!(c.matches(o), "unsound: returned non-matching offer");
+                    }
+                    let ids: Vec<OfferId> = offers.iter().map(|o| o.id()).collect();
+                    prop_assert_eq!(ids, expected, "wrong result set or order for {:?}", c);
                 }
-                // Count matches independently.
-                let expect = (0..n).filter(|_| true).count();
-                let _ = expect; // soundness checked above; completeness below
-                let all = t.import(&ImportRequest::any("svc")).unwrap();
-                let matching = all.iter().filter(|o| c.matches(o)).count();
-                prop_assert_eq!(offers.len(), matching, "incomplete result set");
+                Err(OdpError::NoMatchingOffer { .. }) => {
+                    prop_assert!(expected.is_empty(), "matches existed but import failed");
+                }
+                Err(e) => return Err(TestCaseError::fail(format!("unexpected error {e}"))),
             }
-            Err(OdpError::NoMatchingOffer { .. }) => {
-                let all = t.import(&ImportRequest::any("svc")).unwrap();
-                prop_assert!(all.iter().all(|o| !c.matches(o)), "matches existed but import failed");
-            }
-            Err(e) => return Err(TestCaseError::fail(format!("unexpected error {e}"))),
         }
     }
 
     /// Preference ordering really orders, and max_matches truncates.
     #[test]
     fn preference_and_truncation(n in 2usize..20, limit in 1usize..5) {
-        let t = trader_with_offers(n);
+        let (t, _) = trader_with_offers(n, &[]);
         let req = ImportRequest::any("svc")
             .with_preference(Preference::Min("cost".into()))
             .with_max_matches(limit);
@@ -162,7 +232,7 @@ proptest! {
     /// Constraint De Morgan over offers.
     #[test]
     fn constraint_de_morgan(n in 1usize..10, a in arb_constraint(), b in arb_constraint()) {
-        let t = trader_with_offers(n);
+        let (t, _) = trader_with_offers(n, &[]);
         let all = t.import(&ImportRequest::any("svc")).unwrap();
         let lhs = Constraint::Not(Box::new(Constraint::All(vec![a.clone(), b.clone()])));
         let rhs = Constraint::Any(vec![
